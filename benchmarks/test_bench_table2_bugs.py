@@ -17,27 +17,25 @@ import time
 from conftest import print_table
 
 from repro.core import ControlledTester, RunnerConfig
-from repro.systems.minizk import MiniZkConfig, build_minizk_mapping, make_minizk_cluster
 from repro.systems.minizk.scenarios import zk_bug_1419, zk_bug_1653
-from repro.systems.pyxraft import XraftConfig, build_xraft_mapping, make_xraft_cluster
 from repro.systems.pyxraft.scenarios import xraft_bug1, xraft_bug2, xraft_bug3
-from repro.systems.raftkv import RaftKvConfig, build_raftkv_mapping, make_raftkv_cluster
 from repro.systems.raftkv.scenarios import (
     raft_spec_bug_missing_reply,
     raft_spec_bug_update_term,
     raftkv_bug1,
     raftkv_bug2,
 )
+from repro.systems.registry import SYSTEMS
 
 _CONFIG = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
-# (scenario builder, tester kit, paper row: type / inconsistency / time / acts)
+# (scenario builder, system, paper row: type / inconsistency / time / acts)
 _BUGS = [
-    (xraft_bug1, "xraft", "Xraft #1 (New)",
+    (xraft_bug1, "pyxraft", "Xraft #1 (New)",
      ("Impl.", "Inconsistent state votesGranted", "1 min", 6)),
-    (xraft_bug2, "xraft", "Xraft #2 (New)",
+    (xraft_bug2, "pyxraft", "Xraft #2 (New)",
      ("Impl.", "Inconsistent state votedFor", "7 min", 9)),
-    (xraft_bug3, "xraft", "Xraft #3 (New)",
+    (xraft_bug3, "pyxraft", "Xraft #3 (New)",
      ("Impl.", "Unexpected HandleRequestVoteResponse", "39 min", 19)),
     (raftkv_bug1, "raftkv", "Raft-java #1",
      ("Impl.", "Missing HandleRequestVoteResponse", "6 min", 18)),
@@ -53,18 +51,11 @@ _BUGS = [
      ("Spec.", "Missing UpdateTerm", "<1 min", 5)),
 ]
 
-_KITS = {
-    "xraft": (build_xraft_mapping, make_xraft_cluster, XraftConfig),
-    "raftkv": (build_raftkv_mapping, make_raftkv_cluster, RaftKvConfig),
-    "minizk": (build_minizk_mapping, make_minizk_cluster, MiniZkConfig),
-}
-
-
-def _run(scenario, kit, config):
-    build_mapping, make_cluster, _ = _KITS[kit]
+def _run(scenario, system, config):
+    kit = SYSTEMS[system]
     tester = ControlledTester(
-        build_mapping(scenario.spec, config), scenario.graph,
-        lambda: make_cluster(scenario.servers, config), _CONFIG,
+        kit.build_mapping(scenario.spec, config), scenario.graph,
+        lambda: kit.make_cluster(scenario.servers, config), _CONFIG,
     )
     started = time.monotonic()
     result = tester.run_case(scenario.case)
@@ -74,17 +65,17 @@ def _run(scenario, kit, config):
 def test_bench_table2(benchmark):
     def run_all():
         rows = []
-        for build, kit, bug_id, paper in _BUGS:
+        for build, system, bug_id, paper in _BUGS:
             scenario = build()
             # the correct implementation conforms (spec-bug scenarios have
             # no correct target: the divergence IS the spec's fault)
             correct_config = getattr(scenario, "correct_config", None)
             if not getattr(scenario, "is_spec_bug", False):
                 fixed = correct_config if correct_config is not None \
-                    else _KITS[kit][2]()
-                ok, _ = _run(scenario, kit, fixed)
+                    else SYSTEMS[system].configure()
+                ok, _ = _run(scenario, system, fixed)
                 assert ok.passed, f"{bug_id}: fixed target diverged"
-            result, elapsed = _run(scenario, kit, scenario.buggy_config)
+            result, elapsed = _run(scenario, system, scenario.buggy_config)
             assert not result.passed, f"{bug_id}: bug not detected"
             assert result.divergence.kind.value == scenario.expected_kind
             rows.append((bug_id, paper[0], result.divergence.headline(),

@@ -55,19 +55,24 @@ the end); see docs/OBSERVABILITY.md.  They also take the engine flags
 case execution), ``--checkpoint DIR`` and ``--resume``; see
 docs/ENGINE.md.
 
-Models: ``example``, ``xraft``, ``raftkv``, ``zab``.
-Targets: ``toycache``, ``pyxraft``, ``raftkv``, ``minizk``.
+Models and systems come from :mod:`repro.systems.registry`: models
+``example``, ``xraft``, ``raftkv``, ``zab``; systems ``toycache``,
+``pyxraft``, ``raftkv``, ``minizk``.  An unknown name or ``--bug`` flag
+exits 2 with the valid choices.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 import time
 from typing import Optional
 
 from .core import ControlledTester, RunnerConfig, generate_test_cases
 from .obs import METRICS, TRACER, TraceReader
+from .systems import registry
 from .tlaplus import check, write_dot
 
 __all__ = ["main"]
@@ -75,90 +80,9 @@ __all__ = ["main"]
 _RUNNER = RunnerConfig(match_timeout=1.0, done_timeout=1.0, quiesce_delay=0.05)
 
 
-def _build_model(name: str):
-    if name == "example":
-        from .specs import build_example_spec
-
-        return build_example_spec()
-    if name == "xraft":
-        from .specs.raft import RaftSpecOptions, build_raft_spec
-
-        return build_raft_spec(RaftSpecOptions(
-            max_term=1, max_client_requests=0, candidates=("n1",),
-            name="xraft-model",
-        ))
-    if name == "raftkv":
-        from .specs.raft import RaftSpecOptions, build_raft_spec
-
-        return build_raft_spec(RaftSpecOptions(
-            max_term=1, max_client_requests=0, candidates=("n1",),
-            enable_drop=False, enable_duplicate=False, name="raftkv-model",
-        ))
-    if name == "zab":
-        from .specs.zab import ZabSpecOptions, build_zab_spec
-
-        return build_zab_spec(ZabSpecOptions(
-            max_elections=1, max_crashes=0, max_restarts=0, starters=("n3",),
-            name="zab-model",
-        ))
-    raise SystemExit(f"unknown model {name!r} (example|xraft|raftkv|zab)")
-
-
 def _target_kit(name: str, bugs):
     """(spec, mapping, cluster factory) for a system under test."""
-    bug_flags = set(bugs or ())
-
-    def flags(prefix, known):
-        selected = {}
-        for flag in bug_flags:
-            if flag not in known:
-                raise SystemExit(
-                    f"unknown bug {flag!r} for {name}; known: {sorted(known)}")
-            selected[flag] = True
-        return selected
-
-    if name == "toycache":
-        from .specs import build_example_spec
-        from .systems.toycache import (
-            ToyCacheConfig, build_toycache_mapping, make_toycache_cluster,
-        )
-
-        known = {"bug_wrong_max", "bug_forget_respond", "bug_double_respond"}
-        config = ToyCacheConfig(**flags("toycache", known))
-        spec = build_example_spec()
-        return spec, build_toycache_mapping(), lambda: make_toycache_cluster(config)
-    if name == "pyxraft":
-        from .systems.pyxraft import (
-            XraftConfig, build_xraft_mapping, make_xraft_cluster,
-        )
-
-        known = {"bug_duplicate_vote_count", "bug_votedfor_not_persisted",
-                 "bug_stale_vote_grant"}
-        config = XraftConfig(**flags("pyxraft", known))
-        spec = _build_model("xraft")
-        return (spec, build_xraft_mapping(spec, config),
-                lambda: make_xraft_cluster(("n1", "n2", "n3"), config))
-    if name == "raftkv":
-        from .systems.raftkv import (
-            RaftKvConfig, build_raftkv_mapping, make_raftkv_cluster,
-        )
-
-        known = {"bug_drop_higher_term_response", "bug_append_no_truncate"}
-        config = RaftKvConfig(**flags("raftkv", known))
-        spec = _build_model("raftkv")
-        return (spec, build_raftkv_mapping(spec, config),
-                lambda: make_raftkv_cluster(("n1", "n2", "n3"), config))
-    if name == "minizk":
-        from .systems.minizk import (
-            MiniZkConfig, build_minizk_mapping, make_minizk_cluster,
-        )
-
-        known = {"bug_rebroadcast_on_worse_vote", "bug_epoch_mismatch_abort"}
-        config = MiniZkConfig(**flags("minizk", known))
-        spec = _build_model("zab")
-        return (spec, build_minizk_mapping(spec, config),
-                lambda: make_minizk_cluster(("n1", "n2", "n3"), config))
-    raise SystemExit(f"unknown target {name!r} (toycache|pyxraft|raftkv|minizk)")
+    return registry.SYSTEMS[name].kit(bugs)
 
 
 def _spec_independence(spec):
@@ -174,6 +98,22 @@ def _spec_independence(spec):
         return analyze_spec(spec).independence()
     except Exception:
         return None
+
+
+def _output_path(path: str) -> str:
+    """argparse type of ``--trace``/``--dot``: reject, before the command
+    runs, a path the command could not write."""
+    parent = os.path.dirname(path) or "."
+    if not path:
+        raise argparse.ArgumentTypeError("empty path")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"no such directory: {parent!r}")
+    if not os.access(parent, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}")
+    return path
 
 
 def _obs_begin(args) -> bool:
@@ -215,7 +155,7 @@ def _check_kwargs(args) -> dict:
 
 def _cmd_check(args) -> int:
     def command() -> int:
-        spec = _build_model(args.model)
+        spec = registry.build_model(args.model)
         result = check(spec, max_states=args.max_states, truncate=True,
                        **_check_kwargs(args))
         print(result.summary())
@@ -231,7 +171,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_testgen(args) -> int:
     def command() -> int:
-        spec = _build_model(args.model)
+        spec = registry.build_model(args.model)
         graph = check(spec, max_states=args.max_states, truncate=True,
                       **_check_kwargs(args)).graph
         suite_ec = generate_test_cases(graph, por=False)
@@ -442,33 +382,11 @@ def _cmd_faults(args) -> int:
         rows = []
         for build in all_chaos_scenarios():
             scenario = build()
-            if scenario.target == "pyxraft":
-                from .systems.pyxraft import (
-                    XraftConfig, build_xraft_mapping, make_xraft_cluster,
-                )
-
-                config = XraftConfig()
-                mapping = build_xraft_mapping(scenario.spec, config)
-                factory = (lambda servers=scenario.servers, cfg=config:
-                           make_xraft_cluster(servers, cfg))
-            elif scenario.target == "minizk":
-                from .systems.minizk import (
-                    MiniZkConfig, build_minizk_mapping, make_minizk_cluster,
-                )
-
-                config = MiniZkConfig()
-                mapping = build_minizk_mapping(scenario.spec, config)
-                factory = (lambda servers=scenario.servers, cfg=config:
-                           make_minizk_cluster(servers, cfg))
-            else:
-                from .systems.raftkv import (
-                    RaftKvConfig, build_raftkv_mapping, make_raftkv_cluster,
-                )
-
-                config = RaftKvConfig()
-                mapping = build_raftkv_mapping(scenario.spec, config)
-                factory = (lambda servers=scenario.servers, cfg=config:
-                           make_raftkv_cluster(servers, cfg))
+            kit = registry.SYSTEMS[scenario.target]
+            config = kit.configure()
+            mapping = kit.build_mapping(scenario.spec, config)
+            factory = functools.partial(kit.make_cluster, scenario.servers,
+                                        config)
             tester = FaultRunner(mapping, scenario.graph, factory,
                                  scenario.plan, _RUNNER)
             result = tester.run_case(scenario.case)
@@ -615,16 +533,13 @@ def _cmd_soak(args) -> int:
 
 def _cmd_lint(args) -> int:
     from .analysis import Severity, lint_target, render_json, render_text
-    from .analysis.targets import all_targets
 
-    names = all_targets() if args.target == "all" else [args.target]
+    names = (registry.target_names() if args.target == "all"
+             else [args.target])
     worst_hit = False
     results = []
     for name in names:
-        try:
-            result = lint_target(name)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
+        result = lint_target(name)
         results.append(result)
         if args.format == "json":
             print(render_json(result))
@@ -644,17 +559,13 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .analysis import targets
     from .analysis.effects import analyze_spec
     from .analysis.effects_report import (
         render_effects_dot, render_effects_json, render_effects_text,
     )
 
-    try:
-        context = targets.resolve(args.target)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    effects = analyze_spec(context.spec)
+    spec, _mapping = registry.spec_and_mapping(args.target)
+    effects = analyze_spec(spec)
     print(render_effects_json(effects) if args.format == "json"
           else render_effects_text(effects))
     if args.dot:
@@ -678,33 +589,11 @@ def _cmd_trace(args) -> int:
     raise SystemExit(f"unknown trace subcommand {args.trace_command!r}")
 
 
-#: conform targets: systems resolve spec + event bindings, models are bare
-_CONFORM_SYSTEMS = ("toycache", "pyxraft", "raftkv", "minizk")
-_CONFORM_SPECS = ("example", "xraft", "zab")
-
-
-def _conform_kit(name: str):
-    """(spec, mapping-or-None) for a conform target.
-
-    System targets carry a mapping whose event bindings translate log
-    events into spec actions; bare models assume events name actions
-    directly.  ``raftkv`` names both a system and a model — the system
-    (with its bindings) wins, as in ``mocket test``.
-    """
-    if name in _CONFORM_SYSTEMS:
-        spec, mapping, _factory = _target_kit(name, None)
-        return spec, mapping
-    if name in _CONFORM_SPECS:
-        return _build_model(name), None
-    known = "|".join(_CONFORM_SYSTEMS + _CONFORM_SPECS)
-    raise SystemExit(f"unknown conform target {name!r} ({known})")
-
-
 def _cmd_conform(args) -> int:
     from .conform import ConformanceMonitor, ConformanceOptions, get_adapter
 
     def command() -> int:
-        spec, mapping = _conform_kit(args.spec)
+        spec, mapping = registry.spec_and_mapping(args.spec)
         graph = check(spec, max_states=args.max_states, truncate=True,
                       **_check_kwargs(args)).graph
         options = ConformanceOptions(max_frontier=args.max_frontier,
@@ -747,35 +636,30 @@ def _cmd_conform(args) -> int:
 
 
 def _cmd_bugs(args) -> int:
-    from .systems.minizk import MiniZkConfig, build_minizk_mapping, make_minizk_cluster
     from .systems.minizk.scenarios import zk_bug_1419, zk_bug_1653
-    from .systems.pyxraft import build_xraft_mapping, make_xraft_cluster
     from .systems.pyxraft.scenarios import xraft_bug1, xraft_bug2, xraft_bug3
-    from .systems.raftkv import build_raftkv_mapping, make_raftkv_cluster
     from .systems.raftkv.scenarios import (
         raft_spec_bug_missing_reply, raft_spec_bug_update_term,
         raftkv_bug1, raftkv_bug2,
     )
 
-    kits = {
-        "xraft": (build_xraft_mapping, make_xraft_cluster),
-        "raftkv": (build_raftkv_mapping, make_raftkv_cluster),
-        "minizk": (build_minizk_mapping, make_minizk_cluster),
-    }
     scenarios = [
-        (xraft_bug1, "xraft"), (xraft_bug2, "xraft"), (xraft_bug3, "xraft"),
+        (xraft_bug1, "pyxraft"), (xraft_bug2, "pyxraft"),
+        (xraft_bug3, "pyxraft"),
         (raftkv_bug1, "raftkv"), (raftkv_bug2, "raftkv"),
         (zk_bug_1419, "minizk"), (zk_bug_1653, "minizk"),
         (raft_spec_bug_missing_reply, "raftkv"),
         (raft_spec_bug_update_term, "raftkv"),
     ]
     failures = 0
-    for build, kit in scenarios:
+    for build, target in scenarios:
         scenario = build()
-        build_mapping, make_cluster = kits[kit]
+        kit = registry.SYSTEMS[target]
         tester = ControlledTester(
-            build_mapping(scenario.spec, scenario.buggy_config), scenario.graph,
-            lambda: make_cluster(scenario.servers, scenario.buggy_config),
+            kit.build_mapping(scenario.spec, scenario.buggy_config),
+            scenario.graph,
+            functools.partial(kit.make_cluster, scenario.servers,
+                              scenario.buggy_config),
             _RUNNER,
         )
         result = tester.run_case(scenario.case)
@@ -795,11 +679,20 @@ def main(argv: Optional[list] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    models = tuple(registry.MODELS)
+    systems = tuple(registry.SYSTEMS)
+    targets = registry.target_names()
+
     def add_obs_flags(p) -> None:
-        p.add_argument("--trace", metavar="FILE",
+        p.add_argument("--trace", metavar="FILE", type=_output_path,
                        help="write a JSONL trace of the run to FILE")
         p.add_argument("--metrics", action="store_true",
                        help="print the metrics table after the run")
+
+    def add_bug_flag(p) -> None:
+        p.add_argument("--bug", action="append", default=[],
+                       help="seed a bug flag (repeatable)")
+        p.set_defaults(bug_parser=p)
 
     def add_fault_seed_flags(p) -> None:
         p.add_argument("--fault-seed", default="0", metavar="SEED",
@@ -838,15 +731,16 @@ def main(argv: Optional[list] = None) -> int:
                             "in --checkpoint DIR")
 
     p_check = sub.add_parser("check", help="model-check a built-in model")
-    p_check.add_argument("model")
+    p_check.add_argument("model", choices=models)
     p_check.add_argument("--max-states", type=int, default=100_000)
-    p_check.add_argument("--dot", help="dump the state-space graph to this file")
+    p_check.add_argument("--dot", type=_output_path,
+                         help="dump the state-space graph to this file")
     add_engine_flags(p_check)
     add_obs_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_gen = sub.add_parser("testgen", help="generate test cases from a model")
-    p_gen.add_argument("model")
+    p_gen.add_argument("model", choices=models)
     p_gen.add_argument("--max-states", type=int, default=100_000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--show", type=int, default=0,
@@ -857,11 +751,10 @@ def main(argv: Optional[list] = None) -> int:
     p_gen.set_defaults(func=_cmd_testgen)
 
     p_test = sub.add_parser("test", help="controlled testing of a target")
-    p_test.add_argument("target", nargs="?", default=None)
-    p_test.add_argument("--system", default=None,
+    p_test.add_argument("target", nargs="?", default=None, choices=systems)
+    p_test.add_argument("--system", default=None, choices=systems,
                         help="the target system (alias for the positional)")
-    p_test.add_argument("--bug", action="append", default=[],
-                        help="seed a bug flag (repeatable)")
+    add_bug_flag(p_test)
     p_test.add_argument("--cases", type=int, default=None)
     p_test.add_argument("--max-states", type=int, default=100_000)
     p_test.add_argument("--seed", type=int, default=0)
@@ -878,10 +771,8 @@ def main(argv: Optional[list] = None) -> int:
     faults_sub = p_faults.add_subparsers(dest="faults_command", required=True)
 
     def add_faults_common(p) -> None:
-        p.add_argument("target",
-                       help="a system under test (toycache|pyxraft|raftkv|minizk)")
-        p.add_argument("--bug", action="append", default=[],
-                       help="seed a bug flag (repeatable)")
+        p.add_argument("target", choices=systems, help="a system under test")
+        add_bug_flag(p)
         p.add_argument("--max-states", type=int, default=100_000)
         p.add_argument("--seed", type=int, default=0,
                        help="test-generation seed (POR tie-breaking)")
@@ -982,7 +873,8 @@ def main(argv: Optional[list] = None) -> int:
         "soak",
         help="soak-scale workload on the deterministic simulation "
              "runtime (see docs/RUNTIME.md)")
-    p_soak.add_argument("target", help="system to soak (raftkv)")
+    p_soak.add_argument("target", choices=registry.sim_names(),
+                        help="system to soak")
     p_soak.add_argument("--ops", type=int, default=100_000, metavar="N",
                         help="total open-loop client operations across "
                              "all shards (default: 100000)")
@@ -1028,10 +920,8 @@ def main(argv: Optional[list] = None) -> int:
 
     p_lint = sub.add_parser(
         "lint", help="static conformance analysis of a bundled target")
-    p_lint.add_argument(
-        "target",
-        help="a system (toycache|pyxraft|raftkv|minizk), a bare spec "
-             "(example|xraft|zab), or 'all'")
+    p_lint.add_argument("target", choices=targets + ("all",),
+                        help="a system, a bare model, or 'all'")
     p_lint.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="sarif prints one aggregated SARIF 2.1.0 "
@@ -1045,14 +935,12 @@ def main(argv: Optional[list] = None) -> int:
     p_analyze = sub.add_parser(
         "analyze",
         help="static effect analysis of a target's spec actions")
-    p_analyze.add_argument(
-        "target",
-        help="a system (toycache|pyxraft|raftkv|minizk) or a bare spec "
-             "(example|xraft|zab)")
+    p_analyze.add_argument("target", choices=targets,
+                           help="a system or a bare model")
     p_analyze.add_argument("--format", choices=("text", "json"),
                            default="text",
                            help="json prints the stable v1 envelope")
-    p_analyze.add_argument("--dot", metavar="FILE",
+    p_analyze.add_argument("--dot", metavar="FILE", type=_output_path,
                            help="write the action-dependency graph (DOT) "
                                 "to FILE")
     p_analyze.set_defaults(func=_cmd_analyze)
@@ -1063,9 +951,9 @@ def main(argv: Optional[list] = None) -> int:
     p_conform.add_argument("log",
                            help="the log file to validate ('-' reads stdin)")
     p_conform.add_argument(
-        "--spec", required=True, metavar="TARGET",
-        help="a system (toycache|pyxraft|raftkv|minizk: spec + event "
-             "bindings) or a bare model (example|xraft|zab)")
+        "--spec", required=True, metavar="TARGET", choices=targets,
+        help="a system (spec + event bindings) or a bare model: "
+             + "|".join(targets))
     p_conform.add_argument(
         "--adapter", default="obs", metavar="NAME",
         help="log format adapter: 'obs' (native JSONL traces) or 'jsonl' "
@@ -1108,6 +996,13 @@ def main(argv: Optional[list] = None) -> int:
     p_sum.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
+    target = getattr(args, "target", None) or getattr(args, "system", None)
+    if getattr(args, "bug_parser", None) and args.bug and target:
+        # check --bug against the system's config before anything runs
+        try:
+            registry.SYSTEMS[target].configure(args.bug)
+        except registry.UnknownName as exc:
+            args.bug_parser.error(str(exc))
     return args.func(args)
 
 

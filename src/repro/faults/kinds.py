@@ -28,6 +28,7 @@ __all__ = [
     "ChaosKind",
     "TRANSPARENT_KINDS",
     "DISRUPTIVE_KINDS",
+    "PARTITION_FAMILY",
 ]
 
 
@@ -68,4 +69,11 @@ DISRUPTIVE_KINDS = frozenset({
     ChaosKind.BOUNCE,
     ChaosKind.CRASH,
     ChaosKind.CORRUPT,
+})
+
+# Kinds that cut a node set off; a case gets at most one of them, so
+# two partitions never overlap (planner and legality both enforce it).
+PARTITION_FAMILY = frozenset({
+    ChaosKind.PARTITION,
+    ChaosKind.PARTIAL_PARTITION,
 })

@@ -34,13 +34,12 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.testgen.testcase import TestSuite
 from ..tlaplus.graph import StateGraph
-from .kinds import ChaosKind, DISRUPTIVE_KINDS, InjectionMode
+from .kinds import (
+    ChaosKind, DISRUPTIVE_KINDS, InjectionMode, PARTITION_FAMILY,
+)
 from .plan import FaultInjection, FaultPlan
 
 __all__ = ["plan_violations", "plan_is_legal"]
-
-_PARTITION_FAMILY = frozenset({ChaosKind.PARTITION,
-                               ChaosKind.PARTIAL_PARTITION})
 
 #: required parameter keys per chaos kind (nemesis ``apply`` contract)
 _REQUIRED_PARAMS = {
@@ -117,7 +116,7 @@ def plan_violations(plan: FaultPlan, suite: TestSuite,
         if kind in DISRUPTIVE_KINDS:
             disruptive_count[case.case_id] = (
                 disruptive_count.get(case.case_id, 0) + 1)
-        if kind in _PARTITION_FAMILY:
+        if kind in PARTITION_FAMILY:
             partition_count[case.case_id] = (
                 partition_count.get(case.case_id, 0) + 1)
         problems.extend(_param_violations(injection, kind, where, node_set))

@@ -67,7 +67,7 @@ class ChaosScenario:
                  plan: FaultPlan, servers, expected_kind: str,
                  expected_verdict: str):
         self.name = name
-        self.target = target          # system kit: "raftkv" | "pyxraft" | "minizk"
+        self.target = target          # a repro.systems.registry system
         self.spec = spec
         self.graph = graph
         self.case = case

@@ -27,11 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import METRICS, TRACER
 from ..runtime.sim import SimScheduler
-from ..systems.raftkv.sim import (
-    LEADER,
-    SimRaftKvConfig,
-    make_sim_raftkv_cluster,
-)
+from ..systems import registry
+from ..systems.raftkv.sim import LEADER
 from .monitor import SoakMonitor
 from .nemesis import apply_schedule, build_fault_schedule
 from .report import totals as _totals
@@ -64,8 +61,10 @@ class SoakConfig:
                  snapshot_every: float = 25.0,
                  checkpoint_every: int = 1000,
                  schedule: Optional[List[List[Dict[str, Any]]]] = None):
-        if target != "raftkv":
-            raise ValueError(f"mocket soak drives raftkv, not {target!r}")
+        if target not in registry.sim_names():
+            raise ValueError(f"mocket soak drives "
+                             f"{'|'.join(registry.sim_names())}, "
+                             f"not {target!r}")
         if ops < 1:
             raise ValueError("ops must be >= 1")
         if shards < 1 or workers < 1:
@@ -157,12 +156,8 @@ def run_shard(config: SoakConfig, index: int,
     """Execute one simulation shard to completion; pure virtual time."""
     seed = config.shard_seed(index)
     ops = config.shard_ops()[index]
-    kv_config = SimRaftKvConfig(
-        seed=seed,
-        bug_skip_apply=(config.bug == "bug_skip_apply"),
-    )
     scheduler = SimScheduler(seed)
-    cluster = make_sim_raftkv_cluster(kv_config, scheduler)
+    cluster = registry.SYSTEMS[config.target].sim(seed, config.bug, scheduler)
     monitor = SoakMonitor(ops, checkpoint_every=config.checkpoint_every,
                           clock=scheduler.clock)
     cluster.observer = monitor

@@ -12,5 +12,6 @@
 Every system is a normal distributed system first: it runs standalone
 (no Mocket) and is instrumented with the annotations of
 :mod:`repro.core.mapping` exactly as the paper instruments its Java
-targets.
+targets.  :mod:`repro.systems.registry` is the one table pairing each
+system with its model, config, mapping and cluster factory.
 """

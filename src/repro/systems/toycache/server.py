@@ -55,7 +55,10 @@ class CacheServer(Node):
                 self.msg = MAX if self.msg == max(self.cache) else NOT_MAX
 
 
-def make_toycache_cluster(config: Optional[ToyCacheConfig] = None) -> Cluster:
-    """A fresh single-server cluster (undeployed)."""
+def make_toycache_cluster(config: Optional[ToyCacheConfig] = None,
+                          node_ids=None) -> Cluster:
+    """A fresh single-server cluster (undeployed).  ``node_ids`` is
+    accepted for the registry's cluster signature; the cache is always
+    one node named ``server``."""
     cfg = config or ToyCacheConfig()
     return Cluster(["server"], lambda node_id, cluster: CacheServer(node_id, cluster, cfg))

@@ -26,15 +26,18 @@ class TestExitCodes:
             assert f"{name}:" in out
 
     def test_unknown_target_exits_with_message(self, capsys):
-        with pytest.raises(SystemExit, match="unknown lint target"):
+        with pytest.raises(SystemExit) as exc:
             main(["lint", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err and "'all'" in err
 
     def test_defective_target_fails_and_none_disables(self, monkeypatch, capsys):
         spec = make_spec()
         broken = LintContext("broken", spec, SpecMapping(spec))
         monkeypatch.setattr(targets_mod, "resolve", lambda name: broken)
-        assert main(["lint", "broken"]) == 1              # default: error
-        assert main(["lint", "broken", "--fail-on", "none"]) == 0
+        assert main(["lint", "toycache"]) == 1            # default: error
+        assert main(["lint", "toycache", "--fail-on", "none"]) == 0
         out = capsys.readouterr().out
         assert "MCK101" in out and "MCK103" in out
 
@@ -55,8 +58,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(targets_mod, "resolve",
                             lambda name: LintContext("warnful", spec))
-        assert main(["lint", "warnful"]) == 0               # MCK001 is a warning
-        assert main(["lint", "warnful", "--fail-on", "warning"]) == 1
+        assert main(["lint", "example"]) == 0               # MCK001 is a warning
+        assert main(["lint", "example", "--fail-on", "warning"]) == 1
 
 
 class TestJsonReport:
@@ -149,7 +152,7 @@ class TestSarifReport:
         spec = make_spec()
         broken = LintContext("broken", spec, SpecMapping(spec))
         monkeypatch.setattr(targets_mod, "resolve", lambda name: broken)
-        assert main(["lint", "broken", "--format", "sarif"]) == 1
+        assert main(["lint", "toycache", "--format", "sarif"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["runs"][0]["results"]
 

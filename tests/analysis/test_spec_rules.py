@@ -220,7 +220,14 @@ def test_mck007_message_var_of_wrong_kind():
 
 
 def test_bundled_specs_are_clean():
-    from repro.analysis.targets import SPEC_TARGETS, resolve
+    from repro.specs.raft import build_xraft_spec
+    from repro.specs.zab import ZabSpecOptions, build_zab_spec
+    from repro.systems.registry import MODELS, build_model
 
-    for name in SPEC_TARGETS:
-        assert lint_codes(resolve(name).spec) == [], name
+    specs = [build_model(name) for name in MODELS]
+    # the full-fault variants: every candidate, crashes and restarts on
+    specs.append(build_xraft_spec(servers=("n1", "n2", "n3"), max_term=1,
+                                  max_client_requests=0))
+    specs.append(build_zab_spec(ZabSpecOptions()))
+    for spec in specs:
+        assert lint_codes(spec) == [], spec.name

@@ -51,9 +51,9 @@ class TestConformCommand:
 
     def test_bare_model_target(self, tmp_path, capsys):
         from .conftest import canonical_graph
-        from repro.cli import _build_model
+        from repro.systems.registry import build_model
 
-        graph = canonical_graph(_build_model("example"))
+        graph = canonical_graph(build_model("example"))
         path = tmp_path / "walk.jsonl"
         write_walk_log(path, graph, sessions=1, steps=4)
         assert main(["conform", str(path), "--spec", "example"]) == 0
@@ -76,10 +76,14 @@ class TestConformCommand:
                      "--adapter", "nope"]) == 2
         assert "unknown log adapter" in capsys.readouterr().err
 
-    def test_unknown_target_rejected(self, toycache_log):
+    def test_unknown_target_rejected(self, toycache_log, capsys):
+        # exit 2 (usage), never 1 — which would read as "diverged"
         path, _records = toycache_log
-        with pytest.raises(SystemExit, match="unknown conform target"):
+        with pytest.raises(SystemExit) as exc:
             main(["conform", str(path), "--spec", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nosuch'" in err and "'minizk'" in err
 
     def test_malformed_log_exits_two(self, tmp_path, capsys):
         path = tmp_path / "garbage.jsonl"

@@ -13,8 +13,9 @@ import json
 
 import pytest
 
-from repro.cli import _build_model, _target_kit
+from repro.cli import _target_kit
 from repro.conform import ConformanceMonitor, conform_log
+from repro.systems.registry import build_model
 
 from .conftest import canonical_graph, write_walk_log
 
@@ -30,7 +31,7 @@ def target_kit(name):
     truncated graph, so every walk stays a valid behaviour of it).
     """
     if name == "example":
-        return canonical_graph(_build_model("example")), None
+        return canonical_graph(build_model("example")), None
     spec, mapping, _factory = _target_kit(name, None)
     return canonical_graph(spec, max_states=1200), mapping
 

@@ -56,9 +56,13 @@ class TestControlledTest:
         assert code == 1
         assert "Inconsistent state" in capsys.readouterr().out
 
-    def test_unknown_bug_flag_exits(self):
-        with pytest.raises(SystemExit, match="unknown bug"):
+    def test_unknown_bug_flag_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["test", "toycache", "--bug", "bug_nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown bug 'bug_nope' for toycache" in err
+        assert "bug_wrong_max" in err
 
     def test_unknown_target_exits(self):
         with pytest.raises(SystemExit):

@@ -28,8 +28,12 @@ class TestExitCodes:
         assert "fingerprint_mismatch" in captured.out
 
     def test_bad_target_exits_two(self, capsys):
-        assert main(["soak", "toycache", "--ops", "10"]) == 2
-        assert "soak:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["soak", "toycache", "--ops", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "mocket soak: error:" in err
+        assert "invalid choice: 'toycache' (choose from 'raftkv')" in err
 
     def test_bad_ops_exits_two(self, capsys):
         assert main(["soak", "raftkv", "--ops", "0"]) == 2
